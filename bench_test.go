@@ -159,6 +159,17 @@ func BenchmarkGreedyTPCHColumn10(b *testing.B) {
 	}
 }
 
+func BenchmarkOptimalTPCHTable3(b *testing.B) {
+	cls := tpchClassification(b, classify.TableBased)
+	bs := UniformBackends(3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Optimal(cls, bs, core.OptimalOptions{MaxNodes: 150}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMemeticTPCAppTable5(b *testing.B) {
 	mix, err := tpcapp.Mix(300)
 	if err != nil {

@@ -23,6 +23,7 @@ var micro = []struct {
 }{
 	{"MemeticTPCAppTable5", microMemetic},
 	{"GreedyTPCHColumn10", microGreedy},
+	{"OptimalTPCHTable3", microOptimal},
 	{"Hungarian50", microHungarian},
 	{"ClassifyTPCHColumn", microClassify},
 	{"SqlminiPointQuery", microPointQuery},
@@ -78,6 +79,25 @@ func microGreedy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Greedy(res.Classification, bs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func microOptimal(b *testing.B) {
+	mix, err := tpch.Mix()
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := classify.Classify(mix.Journal(10000), tpch.Schema(),
+		classify.Options{Strategy: classify.TableBased, RowCounts: tpch.RowCounts(1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bs := core.UniformBackends(3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Optimal(res.Classification, bs, core.OptimalOptions{MaxNodes: 150}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -231,10 +231,10 @@ func Optimal(cls *Classification, backends []Backend, opts OptimalOptions) (*Opt
 		if err != nil {
 			return nil, err
 		}
+		res.Nodes += sol2.Nodes
 		if sol2.Status == lp.Optimal || sol2.Status == lp.Feasible {
 			finalSol = sol2
 			res.SpaceProven = sol2.Status == lp.Optimal
-			res.Nodes += sol2.Nodes
 		}
 	}
 
@@ -304,28 +304,34 @@ func RebalanceReads(a *Allocation) error {
 
 	p := lp.NewProblem()
 	scaleVar := p.AddVariable(1, 1, math.Inf(1), false)
-	type rv struct{ k, i, v int }
-	var vars []rv
+	// One pass over the classes creates the share variables, grouped
+	// per class, and each backend's load terms.
+	type share struct{ i, v int }
+	shares := make([][]share, len(reads))
+	loadTerms := make([][]lp.Term, len(backends))
+	for i := range backends {
+		loadTerms[i] = []lp.Term{{Var: scaleVar, Coef: -backends[i].Load}}
+	}
 	for k, c := range reads {
 		for i := range backends {
 			if a.hasClassLocally(i, c) {
 				// No explicit upper bound: Σ_B x = weight with x ≥ 0
 				// already caps each share, and a finite bound would cost
 				// the simplex an extra tableau row per variable.
-				vars = append(vars, rv{k, i, p.AddVariable(0, 0, math.Inf(1), false)})
+				v := p.AddVariable(0, 0, math.Inf(1), false)
+				shares[k] = append(shares[k], share{i, v})
+				loadTerms[i] = append(loadTerms[i], lp.Term{Var: v, Coef: 1})
 			}
 		}
 	}
 	// Full assignment per read class.
 	for k, c := range reads {
-		var terms []lp.Term
-		for _, v := range vars {
-			if v.k == k {
-				terms = append(terms, lp.Term{Var: v.v, Coef: 1})
-			}
-		}
-		if len(terms) == 0 {
+		if len(shares[k]) == 0 {
 			return fmt.Errorf("core: read class %q cannot execute on any backend", c.Name)
+		}
+		terms := make([]lp.Term, len(shares[k]))
+		for j, s := range shares[k] {
+			terms[j] = lp.Term{Var: s.v, Coef: 1}
 		}
 		p.AddConstraint(lp.EQ, c.Weight, terms...)
 	}
@@ -336,13 +342,7 @@ func RebalanceReads(a *Allocation) error {
 		for _, u := range updates {
 			updLoad += a.assign[i][u.pos]
 		}
-		terms := []lp.Term{{Var: scaleVar, Coef: -backends[i].Load}}
-		for _, v := range vars {
-			if v.i == i {
-				terms = append(terms, lp.Term{Var: v.v, Coef: 1})
-			}
-		}
-		p.AddConstraint(lp.LE, -updLoad, terms...)
+		p.AddConstraint(lp.LE, -updLoad, loadTerms[i]...)
 	}
 	sol, err := p.SolveLP()
 	if err != nil {
@@ -357,15 +357,12 @@ func RebalanceReads(a *Allocation) error {
 		}
 		total := 0.0
 		last := -1
-		for _, v := range vars {
-			if v.k != k {
-				continue
-			}
-			w := sol.X[v.v]
+		for _, s := range shares[k] {
+			w := sol.X[s.v]
 			if w > 1e-12 {
-				a.setAssignPos(v.i, c.pos, w)
+				a.setAssignPos(s.i, c.pos, w)
 				total += w
-				last = v.i
+				last = s.i
 			}
 		}
 		// Absorb any residual numerical error into the last share so the

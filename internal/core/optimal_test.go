@@ -215,3 +215,28 @@ func TestOptimalErrors(t *testing.T) {
 		t.Error("zero-load backend accepted")
 	}
 }
+
+// TestOptimalCountsPhase2NodesWithoutIncumbent: on the Section 3
+// instance with three backends, 8 nodes per phase leave the space phase
+// without an incumbent. Optimal then keeps the phase-1 allocation, but
+// Nodes must still include the 8 nodes phase 2 explored.
+func TestOptimalCountsPhase2NodesWithoutIncumbent(t *testing.T) {
+	cl := section3Classification()
+	phase1, err := Optimal(cl, UniformBackends(3), OptimalOptions{MaxNodes: 8, SkipSpacePhase: true})
+	if err != nil {
+		t.Fatalf("Optimal (phase 1 only): %v", err)
+	}
+	res, err := Optimal(cl, UniformBackends(3), OptimalOptions{MaxNodes: 8})
+	if err != nil {
+		t.Fatalf("Optimal: %v", err)
+	}
+	if res.SpaceProven {
+		t.Fatal("SpaceProven with a budget that leaves phase 2 without an incumbent")
+	}
+	if got, want := res.Allocation.TotalDataSize(), phase1.Allocation.TotalDataSize(); got != want {
+		t.Fatalf("TotalDataSize = %v, want the phase-1 allocation's %v", got, want)
+	}
+	if want := phase1.Nodes + 8; res.Nodes != want {
+		t.Fatalf("Nodes = %d, want %d phase-1 nodes + 8 phase-2 nodes", res.Nodes, phase1.Nodes)
+	}
+}

@@ -1,5 +1,5 @@
 // Package lp provides a small linear and mixed-integer programming solver
-// built on a dense two-phase primal simplex method with a depth-first
+// built on a two-phase primal simplex method with a depth-first
 // branch-and-bound search for integer variables.
 //
 // It exists to solve the optimal allocation MILP of the paper's
@@ -7,6 +7,13 @@
 // instance sizes the paper reports optimal results for (clusters of up
 // to seven backends); beyond a configurable node or time budget it
 // returns the best incumbent found.
+//
+// The simplex works on a dense tableau, prices by Dantzig's rule and
+// falls back to Bland's rule after a stall. Its pivots are sparse: they
+// update only the nonzero columns of the pivot row, in the rows with a
+// nonzero pivot-column entry, and so cost as much as the nonzeros while
+// producing the dense pivot's tableau bit for bit. One tableau
+// workspace serves both phases of every node of a solve.
 //
 // All problems are minimization problems over variables with finite
 // lower bounds:
@@ -152,15 +159,49 @@ type Solution struct {
 const eps = 1e-9
 
 // SolveLP solves the linear relaxation of the problem (integrality is
-// ignored). It returns an error only for malformed problems; infeasible
-// and unbounded outcomes are reported via Solution.Status.
+// ignored). It returns an error only for malformed problems or when the
+// simplex exceeds its iteration limit; infeasible and unbounded
+// outcomes are reported via Solution.Status.
 func (p *Problem) SolveLP() (Solution, error) {
-	return p.solveRelaxation(p.lo, p.hi)
+	return p.solveRelaxation(p.lo, p.hi, &workspace{})
+}
+
+// workspace is the simplex tableau and its scratch vectors. One SolveLP
+// or SolveMIP call owns one workspace and reuses it for both phases of
+// every branch-and-bound node, growing it to the largest node; it is
+// garbage once the call returns.
+type workspace struct {
+	tabData []float64   // the tableau rows, one slab
+	tab     [][]float64 // row views into tabData; column total is the rhs
+	rhs     []float64
+	rel     []Rel
+	flip    []bool // row negated to make its rhs non-negative
+	basis   []int  // basic column of each row, -1 for a dropped row
+	cost, z []float64
+	nz      []int // the columns the last pivot updated
+	// total is the rhs column. ncol bounds the columns that are priced
+	// and pivoted: all of them in phase 1, the non-artificial ones after.
+	total, ncol int
+	// kernel replaces sparsePivot when set; the tests install the dense
+	// reference pivot to check that the two agree bit for bit.
+	kernel func(w *workspace, row, col int)
+}
+
+// grow returns s resized to n zero elements, reusing its backing array
+// when it is large enough.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // solveRelaxation solves the LP with the given bounds (used by
-// branch-and-bound to override bounds without copying the problem).
-func (p *Problem) solveRelaxation(lo, hi []float64) (Solution, error) {
+// branch-and-bound to override bounds without copying the problem) in
+// the workspace w.
+func (p *Problem) solveRelaxation(lo, hi []float64, w *workspace) (Solution, error) {
 	n := len(p.obj)
 	if n == 0 {
 		return Solution{Status: Optimal}, nil
@@ -178,43 +219,30 @@ func (p *Problem) solveRelaxation(lo, hi []float64) (Solution, error) {
 		}
 	}
 	m := len(p.rows) + nUB
-	// Dense standard-form rows, backed by one slab to keep the per-solve
-	// allocation count flat (this path runs once per local-search probe).
-	coefData := make([]float64, m*n)
-	coef := make([][]float64, m)
-	rhs := make([]float64, m)
-	rel := make([]Rel, m)
+	w.rhs, w.rel, w.flip = grow(w.rhs, m), grow(w.rel, m), grow(w.flip, m)
+	rhs, rel, flip := w.rhs, w.rel, w.flip
 	for i, c := range p.rows {
-		row := coefData[i*n : (i+1)*n]
-		coef[i] = row
 		r := c.rhs
 		for _, t := range c.terms {
-			row[t.Var] += t.Coef
 			r -= t.Coef * lo[t.Var]
 		}
-		rhs[i] = r
-		rel[i] = c.rel
+		rhs[i], rel[i] = r, c.rel
 	}
 	ri := len(p.rows)
 	for j := 0; j < n; j++ {
 		if !math.IsInf(hi[j], 1) {
-			coef[ri] = coefData[ri*n : (ri+1)*n]
-			coef[ri][j] = 1
-			rhs[ri] = hi[j] - lo[j]
-			rel[ri] = LE
+			rhs[ri], rel[ri] = hi[j]-lo[j], LE
 			ri++
 		}
 	}
 
-	// Count auxiliary columns: slack (LE), surplus (GE), artificial
-	// (GE, EQ, and LE rows with negative rhs after sign flip handling).
-	// Normalize to rhs >= 0 first.
+	// Normalize to rhs >= 0, then count auxiliary columns: a slack for
+	// every LE row, a surplus and an artificial for every GE row, an
+	// artificial for every EQ row.
+	nSlack, nArt := 0, 0
 	for i := 0; i < m; i++ {
 		if rhs[i] < 0 {
-			for j := range coef[i] {
-				coef[i][j] = -coef[i][j]
-			}
-			rhs[i] = -rhs[i]
+			rhs[i], flip[i] = -rhs[i], true
 			switch rel[i] {
 			case LE:
 				rel[i] = GE
@@ -222,63 +250,86 @@ func (p *Problem) solveRelaxation(lo, hi []float64) (Solution, error) {
 				rel[i] = LE
 			}
 		}
-	}
-	nSlack := 0
-	nArt := 0
-	for i := 0; i < m; i++ {
 		switch rel[i] {
 		case LE:
 			nSlack++
 		case GE:
-			nSlack++ // surplus
+			nSlack++
 			nArt++
 		case EQ:
 			nArt++
 		}
 	}
 	total := n + nSlack + nArt
-	// tableau: m rows × (total+1) columns; last column is rhs, all rows
-	// in one slab.
-	tabData := make([]float64, m*(total+1))
-	tab := make([][]float64, m)
-	basis := make([]int, m)
 	artStart := n + nSlack
+	// tableau: m rows × (total+1) columns; the last column is the rhs.
+	w.tabData = grow(w.tabData, m*(total+1))
+	if cap(w.tab) < m {
+		w.tab = make([][]float64, m)
+	}
+	w.tab, w.basis = w.tab[:m], grow(w.basis, m)
+	w.total, w.ncol = total, total
+	tab, basis := w.tab, w.basis
 	si, ai := n, artStart
+	ub := 0 // the variable of the next upper-bound row
 	for i := 0; i < m; i++ {
-		tab[i] = tabData[i*(total+1) : (i+1)*(total+1)]
-		copy(tab[i], coef[i])
-		tab[i][total] = rhs[i]
+		row := w.tabData[i*(total+1) : (i+1)*(total+1)]
+		tab[i] = row
+		if i < len(p.rows) {
+			for _, t := range p.rows[i].terms {
+				row[t.Var] += t.Coef
+			}
+		} else {
+			for math.IsInf(hi[ub], 1) {
+				ub++
+			}
+			row[ub] = 1
+			ub++
+		}
+		if flip[i] {
+			for j := 0; j < n; j++ {
+				row[j] = -row[j]
+			}
+		}
+		row[total] = rhs[i]
 		switch rel[i] {
 		case LE:
-			tab[i][si] = 1
+			row[si] = 1
 			basis[i] = si
 			si++
 		case GE:
-			tab[i][si] = -1
+			row[si] = -1
 			si++
-			tab[i][ai] = 1
+			row[ai] = 1
 			basis[i] = ai
 			ai++
 		case EQ:
-			tab[i][ai] = 1
+			row[ai] = 1
 			basis[i] = ai
 			ai++
 		}
 	}
+	maxIter := 200 * (m + total + 10)
 
 	// Phase 1: minimize the sum of artificials.
 	if nArt > 0 {
-		cost := make([]float64, total)
+		w.cost = grow(w.cost, total)
 		for j := artStart; j < total; j++ {
-			cost[j] = 1
+			w.cost[j] = 1
 		}
-		obj, stat := simplexRun(tab, basis, cost, total)
+		obj, stat, err := w.simplexRun(w.cost, maxIter)
+		if err != nil {
+			return Solution{}, err
+		}
 		if stat == Unbounded {
 			return Solution{}, errors.New("lp: phase-1 unbounded (internal error)")
 		}
 		if obj > 1e-7 {
 			return Solution{Status: Infeasible}, nil
 		}
+		// The artificial columns are dead from here on: nothing prices,
+		// pivots or reads them again, which also forbids their re-entry.
+		w.ncol = artStart
 		// Drive remaining artificials out of the basis.
 		for i := 0; i < m; i++ {
 			if basis[i] < artStart {
@@ -287,31 +338,26 @@ func (p *Problem) solveRelaxation(lo, hi []float64) (Solution, error) {
 			pivoted := false
 			for j := 0; j < artStart; j++ {
 				if math.Abs(tab[i][j]) > 1e-7 {
-					pivot(tab, basis, i, j, total)
+					w.pivot(i, j)
 					pivoted = true
 					break
 				}
 			}
 			if !pivoted {
 				// Row is redundant; zero it so it cannot interfere.
-				for j := 0; j <= total; j++ {
-					tab[i][j] = 0
-				}
+				clear(tab[i])
 				basis[i] = -1
-			}
-		}
-		// Forbid artificials from re-entering by zeroing their columns.
-		for i := 0; i < m; i++ {
-			for j := artStart; j < total; j++ {
-				tab[i][j] = 0
 			}
 		}
 	}
 
 	// Phase 2: original objective over the shifted variables.
-	cost := make([]float64, total)
-	copy(cost, p.obj)
-	_, stat := simplexRun(tab, basis, cost, total)
+	w.cost = grow(w.cost, artStart)
+	copy(w.cost, p.obj)
+	_, stat, err := w.simplexRun(w.cost, maxIter)
+	if err != nil {
+		return Solution{}, err
+	}
 	if stat == Unbounded {
 		return Solution{Status: Unbounded}, nil
 	}
@@ -330,40 +376,38 @@ func (p *Problem) solveRelaxation(lo, hi []float64) (Solution, error) {
 	return Solution{Status: Optimal, X: x, Objective: objVal}, nil
 }
 
-// simplexRun runs the primal simplex on the tableau with the given cost
-// vector, returning the final objective value and a status (Optimal or
-// Unbounded). It uses Dantzig's rule with a switch to Bland's rule after
-// a stall threshold, which guarantees termination.
-func simplexRun(tab [][]float64, basis []int, cost []float64, total int) (float64, Status) {
+// simplexRun runs the primal simplex on the workspace tableau, pricing
+// the first w.ncol columns against cost, and returns the final
+// objective value and a status (Optimal or Unbounded). It uses
+// Dantzig's rule and switches to Bland's rule after maxIter/2 pivots,
+// which guarantees termination, so needing more than maxIter pivots
+// means numerical trouble: it is an error, never a claimed optimum.
+func (w *workspace) simplexRun(cost []float64, maxIter int) (float64, Status, error) {
+	tab, basis, ncol, total := w.tab, w.basis, w.ncol, w.total
 	m := len(tab)
 	// Reduced costs row.
-	z := make([]float64, total+1)
+	w.z = grow(w.z, total+1)
+	z := w.z
 	copy(z, cost)
 	for i := 0; i < m; i++ {
 		if b := basis[i]; b >= 0 && cost[b] != 0 {
-			c := cost[b]
-			for j := 0; j <= total; j++ {
-				z[j] -= c * tab[i][j]
+			c, row := cost[b], tab[i]
+			for j := 0; j < ncol; j++ {
+				z[j] -= c * row[j]
 			}
+			z[total] -= c * row[total]
 		}
 	}
 
-	maxIter := 200 * (m + total + 10)
 	bland := false
 	for iter := 0; ; iter++ {
 		if iter > maxIter/2 {
 			bland = true
 		}
-		if iter > maxIter {
-			// Extremely defensive; with Bland's rule this cannot cycle,
-			// so hitting the cap means numerical trouble. Report the
-			// current point as optimal-so-far.
-			return -z[total], Optimal
-		}
 		// Entering column.
 		col := -1
 		if bland {
-			for j := 0; j < total; j++ {
+			for j := 0; j < ncol; j++ {
 				if z[j] < -eps {
 					col = j
 					break
@@ -371,7 +415,7 @@ func simplexRun(tab [][]float64, basis []int, cost []float64, total int) (float6
 			}
 		} else {
 			best := -eps
-			for j := 0; j < total; j++ {
+			for j := 0; j < ncol; j++ {
 				if z[j] < best {
 					best = z[j]
 					col = j
@@ -379,7 +423,10 @@ func simplexRun(tab [][]float64, basis []int, cost []float64, total int) (float6
 			}
 		}
 		if col < 0 {
-			return -z[total], Optimal
+			return -z[total], Optimal, nil
+		}
+		if iter == maxIter {
+			return 0, 0, errors.New("lp: iteration limit")
 		}
 		// Leaving row (minimum ratio).
 		row := -1
@@ -395,39 +442,63 @@ func simplexRun(tab [][]float64, basis []int, cost []float64, total int) (float6
 			}
 		}
 		if row < 0 {
-			return 0, Unbounded
+			return 0, Unbounded, nil
 		}
-		pivot(tab, basis, row, col, total)
-		// Update reduced costs.
-		zc := z[col]
-		if zc != 0 {
-			for j := 0; j <= total; j++ {
-				z[j] -= zc * tab[row][j]
+		w.pivot(row, col)
+		// Update reduced costs over the columns the pivot touched.
+		if zc := z[col]; zc != 0 {
+			pr := tab[row]
+			for _, j := range w.nz {
+				z[j] -= zc * pr[j]
 			}
 		}
 	}
 }
 
-// pivot performs a Gauss-Jordan pivot on tab[row][col].
-func pivot(tab [][]float64, basis []int, row, col, total int) {
-	p := tab[row][col]
-	inv := 1 / p
-	for j := 0; j <= total; j++ {
-		tab[row][j] *= inv
+// pivot performs a Gauss-Jordan pivot on tab[row][col] with the
+// workspace's kernel.
+func (w *workspace) pivot(row, col int) {
+	if w.kernel != nil {
+		w.kernel(w, row, col)
+		return
 	}
-	tab[row][col] = 1 // fight rounding
-	for i := range tab {
+	w.sparsePivot(row, col)
+}
+
+// sparsePivot performs a Gauss-Jordan pivot on tab[row][col]. It scales
+// the live nonzero columns of the pivot row, records them in w.nz and
+// updates only those columns, only in rows whose pivot-column entry is
+// nonzero. Every skipped update would have computed x - f*0 == x, so
+// the tableau equals a dense pivot's bit for bit, up to the sign of
+// zero entries, and every pricing and ratio-test decision is the same.
+func (w *workspace) sparsePivot(row, col int) {
+	pr := w.tab[row]
+	inv := 1 / pr[col]
+	nz := w.nz[:0]
+	for j, v := range pr[:w.ncol] {
+		if v != 0 {
+			pr[j] = v * inv
+			nz = append(nz, j)
+		}
+	}
+	if v := pr[w.total]; v != 0 {
+		pr[w.total] = v * inv
+		nz = append(nz, w.total)
+	}
+	pr[col] = 1 // fight rounding
+	for i, r := range w.tab {
 		if i == row {
 			continue
 		}
-		f := tab[i][col]
+		f := r[col]
 		if f == 0 {
 			continue
 		}
-		for j := 0; j <= total; j++ {
-			tab[i][j] -= f * tab[row][j]
+		for _, j := range nz {
+			r[j] -= f * pr[j]
 		}
-		tab[i][col] = 0
+		r[col] = 0
 	}
-	basis[row] = col
+	w.basis[row] = col
+	w.nz = nz
 }

@@ -84,7 +84,7 @@ func TestInfeasibleBounds(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVariable(1, 0, 4, false)
 	_ = x
-	s, err := p.solveRelaxation([]float64{3}, []float64{2})
+	s, err := p.solveRelaxation([]float64{3}, []float64{2}, &workspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,38 +318,79 @@ func bruteForceLP(c []float64, rows [][]float64, rhs []float64, steps int) float
 	return best
 }
 
+// randomBoxLP is the seeded generator of TestLPPropertyVsGrid: a random
+// small LP over [0,1]^n with ≤ rows, returned with its data.
+func randomBoxLP(seed int64) (p *Problem, c []float64, rows [][]float64, rhs []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + rng.Intn(2)
+	m := 1 + rng.Intn(3)
+	c = make([]float64, n)
+	for j := range c {
+		c[j] = rng.Float64()*4 - 2
+	}
+	rows = make([][]float64, m)
+	rhs = make([]float64, m)
+	for i := range rows {
+		rows[i] = make([]float64, n)
+		for j := range rows[i] {
+			rows[i][j] = rng.Float64() * 2
+		}
+		rhs[i] = 0.5 + rng.Float64()*2
+	}
+	p = NewProblem()
+	for j := 0; j < n; j++ {
+		p.AddVariable(c[j], 0, 1, false)
+	}
+	addDenseRows(p, LE, rows, rhs)
+	return p, c, rows, rhs
+}
+
+// randomBinaryMIP is the seeded generator of
+// TestMIPPropertyVsEnumeration: a random small binary program with ≤
+// rows, returned with its data.
+func randomBinaryMIP(seed int64) (p *Problem, c []float64, rows [][]float64, rhs []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + rng.Intn(4) // up to 5 binaries
+	m := 1 + rng.Intn(3)
+	c = make([]float64, n)
+	for j := range c {
+		c[j] = rng.Float64()*4 - 2
+	}
+	rows = make([][]float64, m)
+	rhs = make([]float64, m)
+	for i := range rows {
+		rows[i] = make([]float64, n)
+		for j := range rows[i] {
+			rows[i][j] = rng.Float64()*3 - 1
+		}
+		rhs[i] = rng.Float64() * 2
+	}
+	p = NewProblem()
+	for j := 0; j < n; j++ {
+		p.AddBinary(c[j])
+	}
+	addDenseRows(p, LE, rows, rhs)
+	return p, c, rows, rhs
+}
+
+// addDenseRows adds one constraint rows[i]·x {rel} rhs[i] per row.
+func addDenseRows(p *Problem, rel Rel, rows [][]float64, rhs []float64) {
+	for i, row := range rows {
+		terms := make([]Term, len(row))
+		for j, a := range row {
+			terms[j] = Term{j, a}
+		}
+		p.AddConstraint(rel, rhs[i], terms...)
+	}
+}
+
 // TestLPPropertyVsGrid: on random small box-constrained LPs the simplex
 // optimum must be <= the best grid point (grid points are feasible
 // candidates) and every constraint must hold at the solution.
 func TestLPPropertyVsGrid(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(2)
-		m := 1 + rng.Intn(3)
-		c := make([]float64, n)
-		for j := range c {
-			c[j] = rng.Float64()*4 - 2
-		}
-		rows := make([][]float64, m)
-		rhs := make([]float64, m)
-		for i := range rows {
-			rows[i] = make([]float64, n)
-			for j := range rows[i] {
-				rows[i][j] = rng.Float64() * 2
-			}
-			rhs[i] = 0.5 + rng.Float64()*2
-		}
-		p := NewProblem()
-		for j := 0; j < n; j++ {
-			p.AddVariable(c[j], 0, 1, false)
-		}
-		for i := 0; i < m; i++ {
-			terms := make([]Term, n)
-			for j := 0; j < n; j++ {
-				terms[j] = Term{j, rows[i][j]}
-			}
-			p.AddConstraint(LE, rhs[i], terms...)
-		}
+		p, c, rows, rhs := randomBoxLP(seed)
+		n, m := len(c), len(rows)
 		s, err := p.SolveLP()
 		if err != nil || s.Status != Optimal {
 			t.Logf("seed %d: err %v status %v", seed, err, s.Status)
@@ -382,33 +423,8 @@ func TestLPPropertyVsGrid(t *testing.T) {
 // branch-and-bound optimum must equal exhaustive enumeration.
 func TestMIPPropertyVsEnumeration(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(4) // up to 5 binaries
-		m := 1 + rng.Intn(3)
-		c := make([]float64, n)
-		for j := range c {
-			c[j] = rng.Float64()*4 - 2
-		}
-		rows := make([][]float64, m)
-		rhs := make([]float64, m)
-		for i := range rows {
-			rows[i] = make([]float64, n)
-			for j := range rows[i] {
-				rows[i][j] = rng.Float64()*3 - 1
-			}
-			rhs[i] = rng.Float64() * 2
-		}
-		p := NewProblem()
-		for j := 0; j < n; j++ {
-			p.AddBinary(c[j])
-		}
-		for i := 0; i < m; i++ {
-			terms := make([]Term, n)
-			for j := 0; j < n; j++ {
-				terms[j] = Term{j, rows[i][j]}
-			}
-			p.AddConstraint(LE, rhs[i], terms...)
-		}
+		p, c, rows, rhs := randomBinaryMIP(seed)
+		n, m := len(c), len(rows)
 		s, err := p.SolveMIP(MIPOptions{})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)

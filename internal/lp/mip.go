@@ -42,6 +42,11 @@ func (o MIPOptions) withDefaults() MIPOptions {
 // with Status == Feasible; if no incumbent was found the status is
 // Infeasible (which is then only "infeasible within budget").
 func (p *Problem) SolveMIP(opts MIPOptions) (Solution, error) {
+	return p.solveMIP(opts, &workspace{})
+}
+
+// solveMIP is SolveMIP with every node's relaxation solved in w.
+func (p *Problem) solveMIP(opts MIPOptions, w *workspace) (Solution, error) {
 	opts = opts.withDefaults()
 	deadline := time.Time{}
 	if opts.Timeout > 0 {
@@ -69,7 +74,7 @@ func (p *Problem) SolveMIP(opts MIPOptions) (Solution, error) {
 		stack = stack[:len(stack)-1]
 		nodes++
 
-		rel, err := p.solveRelaxation(nd.lo, nd.hi)
+		rel, err := p.solveRelaxation(nd.lo, nd.hi, w)
 		if err != nil {
 			return Solution{}, err
 		}
