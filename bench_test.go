@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"qcpa/internal/bench"
 	"qcpa/internal/classify"
 	"qcpa/internal/core"
 	"qcpa/internal/experiments"
@@ -237,6 +238,10 @@ func BenchmarkSqlminiPointQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSqlminiUpdateRound times one-statement ApplyRound UPDATE
+// and INSERT rounds on a 10k-row indexed table (the write layer).
+func BenchmarkSqlminiUpdateRound(b *testing.B) { bench.SqlminiUpdateRound(b) }
 
 func BenchmarkSqlminiJoinAggregate(b *testing.B) {
 	e := sqlmini.New()

@@ -23,7 +23,7 @@ import (
 //     nv, newTableView's tv);
 //   - some link in the access path is typed //qcpa:lazycache <reason>:
 //     a mutex-serialized, idempotent lazy cache that deliberately lives
-//     inside a published value (secondaryIndex buckets, tableStats).
+//     inside a published value (sqlmini's tableStats).
 //
 // Writing a published-typed *pointer slot* (t.view = nil) is fine: the
 // mutated object is the container, not the view. The analyzer therefore

@@ -30,6 +30,7 @@ type FigureResult struct {
 type MicroResult struct {
 	Name       string  `json:"name"`
 	NsPerOp    float64 `json:"ns_per_op"`
+	BytesPerOp int64   `json:"bytes_per_op"`
 	Iterations int     `json:"iterations"`
 }
 

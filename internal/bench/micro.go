@@ -29,6 +29,7 @@ var micro = []struct {
 	{"SqlminiPointQuery", microPointQuery},
 	{"SqlminiJoinOrder", microJoinOrder},
 	{"PlanCacheHit", microPlanCacheHit},
+	{"SqlminiUpdateRound", SqlminiUpdateRound},
 }
 
 // RunMicro times every component microbenchmark and returns the
@@ -37,9 +38,9 @@ func RunMicro(w io.Writer) []MicroResult {
 	var out []MicroResult
 	for _, m := range micro {
 		r := testing.Benchmark(m.fn)
-		mr := MicroResult{Name: m.name, NsPerOp: float64(r.NsPerOp()), Iterations: r.N}
+		mr := MicroResult{Name: m.name, NsPerOp: float64(r.NsPerOp()), BytesPerOp: r.AllocedBytesPerOp(), Iterations: r.N}
 		if w != nil {
-			fmt.Fprintf(w, "%-22s %12.0f ns/op  (%d iterations)\n", mr.Name, mr.NsPerOp, mr.Iterations)
+			fmt.Fprintf(w, "%-22s %12.0f ns/op %10d B/op  (%d iterations)\n", mr.Name, mr.NsPerOp, mr.BytesPerOp, mr.Iterations)
 		}
 		out = append(out, mr)
 	}
@@ -148,6 +149,48 @@ func microPointQuery(b *testing.B) {
 		sql := fmt.Sprintf(`SELECT c_balance FROM customer WHERE c_id = %d`, i%1000)
 		if _, err := e.Exec(sql); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// SqlminiUpdateRound times the engine's write layer: one-statement
+// ApplyRound rounds on the 10k-row TPC-App item table, which carries a
+// secondary index on i_subject, alternating an UPDATE of a non-key
+// column with an INSERT of a fresh row. Statements are parsed before
+// the timer starts; each round publishes one epoch, so every op pays
+// its table's copy-on-write cost.
+func SqlminiUpdateRound(b *testing.B) {
+	const items = 10000
+	e := sqlmini.New()
+	if err := tpcapp.Load(e, []string{"item"}, map[string]int64{"item": items}, 1); err != nil {
+		b.Fatal(err)
+	}
+	updates := make([]sqlmini.Statement, 0, 256)
+	for i := 0; i < cap(updates); i++ {
+		st, err := sqlmini.Parse(fmt.Sprintf(`UPDATE item SET i_stock = i_stock - 1 WHERE i_id = %d`, (i*7919)%items))
+		if err != nil {
+			b.Fatal(err)
+		}
+		updates = append(updates, st)
+	}
+	st, err := sqlmini.Parse(`INSERT INTO item VALUES (0, 'Title', 1, 1000, 'Publisher', 'HISTORY', 'desc', 20.0, 10.0, 100)`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	insert := st.(*sqlmini.InsertStmt)
+	round := make([]sqlmini.Statement, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			round[0] = updates[(i/2)%len(updates)]
+		} else {
+			row := append([]sqlmini.Expr(nil), insert.Rows[0]...)
+			row[0] = &sqlmini.Lit{V: sqlmini.Int(int64(items + i))}
+			round[0] = &sqlmini.InsertStmt{Table: insert.Table, Rows: [][]sqlmini.Expr{row}}
+		}
+		if res := e.ApplyRound(round); res[0].Err != nil {
+			b.Fatal(res[0].Err)
 		}
 	}
 }

@@ -9,23 +9,23 @@ import (
 )
 
 // Table is an in-memory row store with an optional primary-key hash
-// index.
+// index and any number of secondary hash indexes, all held in
+// copy-on-write units (store.go).
 type Table struct {
 	Name    string
 	Cols    []Column
 	colIdx  map[string]int
 	pkCol   int // -1 when no primary key
-	rows    []Row
-	pk      map[string]int // pk key() -> row index
-	indexes []*secondaryIndex
+	rows    rowStore
+	pk      keyMap[int] // pk key() -> row index
+	indexes []secondaryIndex
 
-	// Copy-on-write bookkeeping (see view.go). rowsShared/pkShared
-	// report whether the current rows header / pk map is still shared
-	// with a published read view; view caches the tableView cut at the
-	// last publish (nil once the table is touched in a new epoch).
-	rowsShared bool
-	pkShared   bool
-	view       *tableView
+	// Copy-on-write bookkeeping (see view.go and store.go): gen is the
+	// generation new units are stamped with, advanced each time a view
+	// is cut; view caches the tableView cut at the last publish (nil
+	// once the table is touched in a new epoch).
+	gen  uint64
+	view *tableView
 }
 
 func newTable(name string, cols []Column) (*Table, error) {
@@ -43,13 +43,13 @@ func newTable(name string, cols []Column) (*Table, error) {
 		}
 	}
 	if t.pkCol >= 0 {
-		t.pk = make(map[string]int)
+		t.pk = newKeyMap[int](0, t.gen)
 	}
 	return t, nil
 }
 
 // NumRows returns the row count.
-func (t *Table) NumRows() int { return len(t.rows) }
+func (t *Table) NumRows() int { return t.rows.n }
 
 // ColumnIndex returns the index of a column, or -1.
 func (t *Table) ColumnIndex(name string) int {
@@ -67,8 +67,13 @@ func (t *Table) PrimaryKey() string {
 	return t.Cols[t.pkCol].Name
 }
 
-// appendRow validates and stores a row.
-func (t *Table) appendRow(r Row) error {
+// touch marks the table written in the current epoch, so the next
+// publish cuts it a fresh view.
+func (t *Table) touch() { t.view = nil }
+
+// checkRow validates a row's arity and coerces its values in place to
+// the column types.
+func (t *Table) checkRow(r Row) error {
 	if len(r) != len(t.Cols) {
 		return fmt.Errorf("sqlmini: table %q expects %d values, got %d", t.Name, len(t.Cols), len(r))
 	}
@@ -79,15 +84,126 @@ func (t *Table) appendRow(r Row) error {
 		}
 		r[i] = v
 	}
+	return nil
+}
+
+// appendRow validates and stores one row (SQL INSERT), first owning the
+// pk and index shards it lands in.
+func (t *Table) appendRow(r Row) error {
+	if err := t.checkRow(r); err != nil {
+		return err
+	}
+	t.touch()
+	if t.pkCol >= 0 {
+		t.pk.own(r[t.pkCol].key(), t.gen)
+	}
+	for i := range t.indexes {
+		x := &t.indexes[i]
+		x.keys.own(r[x.col].key(), t.gen)
+	}
+	return t.storeOwned(r)
+}
+
+// bulkAppend validates and stores rows in order, stopping at the first
+// invalid one. The directory and every shard are sized and owned once
+// up front, so the per-row work is the insert alone. Rows are copied
+// first when the caller keeps them.
+func (t *Table) bulkAppend(rows []Row, copyRows bool) error {
+	t.touch()
+	t.reserve(len(rows))
+	for _, r := range rows {
+		if copyRows {
+			r = append(make(Row, 0, len(r)), r...)
+		}
+		if err := t.checkRow(r); err != nil {
+			return err
+		}
+		if err := t.storeOwned(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// reserve sizes and owns the directory and every shard for extra more
+// rows. Secondary indexes get no size hint: their key count is the
+// column's distinct values, not the row count.
+func (t *Table) reserve(extra int) {
+	t.rows.reserve(extra, t.gen)
+	if t.pkCol >= 0 {
+		t.pk.reserve(extra, t.gen)
+	}
+	for i := range t.indexes {
+		t.indexes[i].keys.reserve(0, t.gen)
+	}
+}
+
+// storeOwned stores a validated row; the caller owns every shard the
+// row lands in (reserve, or appendRow per row).
+func (t *Table) storeOwned(r Row) error {
+	idx := t.rows.n
 	if t.pkCol >= 0 {
 		k := r[t.pkCol].key()
-		if _, dup := t.pk[k]; dup {
+		m := t.pk.owned(k)
+		if _, dup := m[k]; dup {
 			return fmt.Errorf("sqlmini: duplicate primary key %s in table %q", r[t.pkCol], t.Name)
 		}
-		t.pk[k] = len(t.rows)
+		m[k] = idx
 	}
-	t.rows = append(t.rows, r)
+	for i := range t.indexes {
+		x := &t.indexes[i]
+		k := r[x.col].key()
+		addRowIndex(x.keys.owned(k), k, idx)
+	}
+	t.rows.append(r, t.gen)
 	return nil
+}
+
+// replaceRow installs nr as row idx in place of old. changed marks the
+// columns the statement assigned; only those can move a pk or index
+// entry. Nothing is modified when the new pk value is taken, and
+// nothing can fail after the first modification.
+func (t *Table) replaceRow(idx int, old, nr Row, changed []bool) error {
+	if t.pkCol >= 0 && changed[t.pkCol] {
+		ok, nk := old[t.pkCol].key(), nr[t.pkCol].key()
+		if nk != ok {
+			if _, dup := t.pk.get(nk); dup {
+				return fmt.Errorf("sqlmini: duplicate primary key %s", nr[t.pkCol])
+			}
+			delete(t.pk.own(ok, t.gen), ok)
+			t.pk.own(nk, t.gen)[nk] = idx
+		}
+	}
+	for i := range t.indexes {
+		x := &t.indexes[i]
+		if !changed[x.col] {
+			continue
+		}
+		if ok, nk := old[x.col].key(), nr[x.col].key(); nk != ok {
+			removeRowIndex(x.keys.own(ok, t.gen), ok, idx)
+			addRowIndex(x.keys.own(nk, t.gen), nk, idx)
+		}
+	}
+	t.touch()
+	t.rows.set(idx, nr, t.gen)
+	return nil
+}
+
+// reload replaces the table's contents with rows, already validated and
+// pk-unique (DELETE's compaction), in fresh pre-sized units.
+func (t *Table) reload(rows []Row) {
+	t.touch()
+	t.rows = rowStore{}
+	if t.pkCol >= 0 {
+		t.pk = newKeyMap[int](len(rows), t.gen)
+	}
+	for i := range t.indexes {
+		t.indexes[i].keys = newKeyMap[[]int](0, t.gen)
+	}
+	t.rows.reserve(len(rows), t.gen)
+	for _, r := range rows {
+		_ = t.storeOwned(r) // rows came from the table: no duplicate keys
+	}
 }
 
 // DataBytes approximates the stored size of the table in bytes (used by
@@ -102,7 +218,7 @@ func (t *Table) DataBytes() int64 {
 			per += 8
 		}
 	}
-	return per * int64(len(t.rows))
+	return per * int64(t.rows.n)
 }
 
 // Engine is an embedded single-node database instance. It is safe for
@@ -246,15 +362,7 @@ func (e *Engine) BulkInsert(table string, rows []Row) error {
 	}
 	defer e.publishLocked()
 	e.dirty = true
-	t.prepareInsert()
-	for _, r := range rows {
-		cp := make(Row, len(r))
-		copy(cp, r)
-		if err := t.appendRow(cp); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.bulkAppend(rows, true)
 }
 
 // DataBytes approximates the total stored bytes across all tables.

@@ -608,7 +608,6 @@ func (e *Engine) execInsert(st *InsertStmt) (*Result, error) {
 	}
 	ctx := &evalCtx{}
 	res := &Result{}
-	t.prepareInsert()
 	for _, exprs := range st.Rows {
 		if len(exprs) != len(colIdx) {
 			return nil, fmt.Errorf("sqlmini: INSERT expects %d values, got %d", len(colIdx), len(exprs))
@@ -669,16 +668,21 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 		sets[i] = setOp{ci, be}
 	}
 
+	changed := make([]bool, len(t.Cols))
+	for _, s := range sets {
+		changed[s.col] = true
+	}
+
 	res := &Result{}
 	ctx := &evalCtx{}
 
 	apply := func(idx int) error {
-		// Copy-on-write: unshare the header slice, then replace the
-		// touched row with a private copy before assigning into it — the
-		// original Row may still back a published read view.
-		t.prepareMutate()
-		nr := make(Row, len(t.rows[idx]))
-		copy(nr, t.rows[idx])
+		// Copy-on-write: build the new row in a private copy — the old
+		// Row may still back a published read view — and let the table
+		// clone only the chunk and shards it rewrites.
+		old := t.rows.at(idx)
+		nr := make(Row, len(old))
+		copy(nr, old)
 		ctx.row = nr
 		for _, s := range sets {
 			v, err := eval(s.expr, ctx)
@@ -689,20 +693,11 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 			if err != nil {
 				return err
 			}
-			if s.col == t.pkCol {
-				old := nr[s.col].key()
-				nk := cv.key()
-				if nk != old {
-					if _, dup := t.pk[nk]; dup {
-						return fmt.Errorf("sqlmini: duplicate primary key %s", cv)
-					}
-					delete(t.pk, old)
-					t.pk[nk] = idx
-				}
-			}
 			nr[s.col] = cv
 		}
-		t.rows[idx] = nr
+		if err := t.replaceRow(idx, old, nr, changed); err != nil {
+			return err
+		}
 		res.Affected++
 		return nil
 	}
@@ -710,7 +705,7 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 	// Fast path: WHERE pk = literal.
 	if v, ok := pkLookup(st.Where, t, st.Table); ok {
 		res.Scanned++
-		if idx, hit := t.pk[v.key()]; hit {
+		if idx, hit := t.pk.get(v.key()); hit {
 			if err := apply(idx); err != nil {
 				return nil, err
 			}
@@ -718,10 +713,10 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 		return res, nil
 	}
 
-	for idx := range t.rows {
+	for idx := 0; idx < t.rows.n; idx++ {
 		res.Scanned++
 		if where != nil {
-			ctx.row = t.rows[idx]
+			ctx.row = t.rows.at(idx)
 			v, err := eval(where, ctx)
 			if err != nil {
 				return nil, err
@@ -755,33 +750,30 @@ func (e *Engine) execDelete(st *DeleteStmt) (*Result, error) {
 	}
 	res := &Result{}
 	ctx := &evalCtx{}
-	// Copy-on-write: unshare the header slice before compacting it in
-	// place (published views keep the original headers).
-	t.prepareMutate()
-	kept := t.rows[:0]
-	for _, r := range t.rows {
-		res.Scanned++
-		del := true
-		if where != nil {
-			ctx.row = r
-			v, err := eval(where, ctx)
-			if err != nil {
-				return nil, err
+	kept := make([]Row, 0, t.rows.n)
+	for ci := range t.rows.chunks {
+		for _, r := range t.rows.chunk(ci) {
+			res.Scanned++
+			del := true
+			if where != nil {
+				ctx.row = r
+				v, err := eval(where, ctx)
+				if err != nil {
+					return nil, err
+				}
+				del = v.Truth()
 			}
-			del = v.Truth()
-		}
-		if del {
-			res.Affected++
-		} else {
-			kept = append(kept, r)
+			if del {
+				res.Affected++
+			} else {
+				kept = append(kept, r)
+			}
 		}
 	}
-	t.rows = kept
-	if t.pkCol >= 0 {
-		t.pk = make(map[string]int, len(t.rows))
-		for i, r := range t.rows {
-			t.pk[r[t.pkCol].key()] = i
-		}
+	// Compaction renumbers rows, so the table is rebuilt into fresh
+	// units (published views keep the old ones).
+	if res.Affected > 0 {
+		t.reload(kept)
 	}
 	return res, nil
 }

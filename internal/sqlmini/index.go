@@ -2,24 +2,49 @@ package sqlmini
 
 import (
 	"fmt"
-	"sync"
+	"sort"
 )
 
-// secondaryIndex is a hash index over one column, built lazily per
-// read view: the Table holds the index definitions (col only), and
-// each published tableView carries its own instances whose buckets are
-// built from the view's immutable rows on the first indexed lookup.
-// This favors the CDBS read patterns (long read phases between
-// reallocation-driven reloads) without complicating the write path.
-// The index's own mutex serializes the lazy build among concurrent
-// readers of the same view.
-//
-//qcpa:lazycache idempotent rebuild from the view's immutable rows, serialized by mu
+// secondaryIndex is a hash index over one column: each value's key
+// maps to the ascending indices of the rows holding it. The writer
+// maintains it on every INSERT, UPDATE and DELETE in the same
+// copy-on-write shards as the primary key (store.go), and each
+// published tableView carries a copy of its shard array, so an indexed
+// lookup is a plain map probe against the view's own snapshot.
 type secondaryIndex struct {
-	mu      sync.Mutex
-	col     int
-	buckets map[string][]int // value key -> row indices
-	dirty   bool
+	col  int
+	keys keyMap[[]int]
+}
+
+// addRowIndex records row idx under key k in shard map m. Rows are
+// mostly added in ascending order (INSERT appends), so the list is
+// appended to, which never writes inside a length an older copy of the
+// list can read; any other position gets a fresh list.
+func addRowIndex(m map[string][]int, k string, idx int) {
+	l := m[k]
+	if n := len(l); n == 0 || l[n-1] < idx {
+		m[k] = append(l, idx)
+		return
+	}
+	p := sort.SearchInts(l, idx)
+	nl := make([]int, 0, len(l)+1)
+	nl = append(nl, l[:p]...)
+	nl = append(nl, idx)
+	m[k] = append(nl, l[p:]...)
+}
+
+// removeRowIndex drops row idx from key k's list in shard map m, into a
+// fresh list (older copies of the shard still read the old one).
+func removeRowIndex(m map[string][]int, k string, idx int) {
+	l := m[k]
+	if len(l) <= 1 {
+		delete(m, k)
+		return
+	}
+	p := sort.SearchInts(l, idx)
+	nl := make([]int, 0, len(l)-1)
+	nl = append(nl, l[:p]...)
+	m[k] = append(nl, l[p+1:]...)
 }
 
 // CreateIndex builds a secondary hash index on table.column. Point
@@ -45,11 +70,16 @@ func (e *Engine) CreateIndex(table, column string) error {
 			return fmt.Errorf("sqlmini: column %q already indexed", column)
 		}
 	}
-	t.indexes = append(t.indexes, &secondaryIndex{col: ci, dirty: true})
-	// Republish so the new index definition reaches readers: views cut
-	// before this point simply scan. Cached plans chose their access
-	// paths without this index, so drop them too.
-	t.view = nil
+	x := secondaryIndex{col: ci, keys: newKeyMap[[]int](0, t.gen)}
+	for i := 0; i < t.rows.n; i++ {
+		k := t.rows.at(i)[ci].key()
+		addRowIndex(x.keys.owned(k), k, i)
+	}
+	t.indexes = append(t.indexes, x)
+	// Republish so the new index reaches readers: views cut before this
+	// point simply scan. Cached plans chose their access paths without
+	// this index, so drop them too.
+	t.touch()
 	e.dirty = true
 	e.InvalidatePlans()
 	e.publishLocked()
@@ -72,27 +102,14 @@ func (e *Engine) Indexes(table string) []string {
 }
 
 // lookupIndex returns the matching row indices for column = v via a
-// secondary index, building this view's buckets on first use. The
-// boolean reports whether an index on that column exists. The view's
-// rows are immutable, so the buckets are built exactly once; the index
-// mutex serializes that build among concurrent readers of the view.
+// secondary index of the view. The boolean reports whether the view
+// has an index on that column.
 func (tv *tableView) lookupIndex(col int, v Value) ([]int, bool) {
-	for _, idx := range tv.indexes {
-		if idx.col != col {
-			continue
+	for i := range tv.indexes {
+		if x := &tv.indexes[i]; x.col == col {
+			rows, _ := x.keys.get(v.key())
+			return rows, true
 		}
-		idx.mu.Lock()
-		if idx.dirty {
-			idx.buckets = make(map[string][]int, len(tv.rows))
-			for i, r := range tv.rows {
-				k := r[col].key()
-				idx.buckets[k] = append(idx.buckets[k], i)
-			}
-			idx.dirty = false
-		}
-		rows := idx.buckets[v.key()]
-		idx.mu.Unlock()
-		return rows, true
 	}
 	return nil, false
 }

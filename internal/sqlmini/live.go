@@ -40,9 +40,9 @@ func WriteTable(st Statement) string {
 
 // CloneTable returns a deep copy of a table's schema and rows. The copy
 // is cut under the engine's read lock, so it is a consistent snapshot
-// relative to concurrent writes; rows are copied (execUpdate mutates
-// rows in place), so the caller may hold the result while the engine
-// keeps serving. This is the live migration's transport: the source
+// relative to concurrent writes; rows are copied so the caller owns
+// them outright and may hold the result while the engine keeps
+// serving. This is the live migration's transport: the source
 // backend's applier cuts the clone at an exact position in the global
 // update order.
 func (e *Engine) CloneTable(name string) ([]Column, []Row, error) {
@@ -54,11 +54,11 @@ func (e *Engine) CloneTable(name string) ([]Column, []Row, error) {
 	}
 	cols := make([]Column, len(t.Cols))
 	copy(cols, t.Cols)
-	rows := make([]Row, len(t.rows))
-	for i, r := range t.rows {
-		cp := make(Row, len(r))
-		copy(cp, r)
-		rows[i] = cp
+	rows := make([]Row, 0, t.rows.n)
+	for ci := range t.rows.chunks {
+		for _, r := range t.rows.chunk(ci) {
+			rows = append(rows, append(make(Row, 0, len(r)), r...))
+		}
 	}
 	return cols, rows, nil
 }

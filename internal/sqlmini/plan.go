@@ -318,9 +318,9 @@ type conjunct struct {
 	mask uint64 // bitmask of textual table indices referenced
 
 	// Equi-join shape: tblL.colL = tblR.colR across two tables.
-	isEquiJoin             bool
-	eqLTable, eqLCol       int
-	eqRTable, eqRCol       int
+	isEquiJoin       bool
+	eqLTable, eqLCol int
+	eqRTable, eqRCol int
 
 	// Single-table constant shape and selectivity class.
 	kind     predKind
@@ -466,7 +466,7 @@ func popcount(m uint64) int {
 // a single-table conjunct. The constants are coarse on purpose: the
 // planner only needs relative magnitudes good enough to order joins.
 func conjunctSelectivity(c conjunct, tv *tableView) float64 {
-	n := float64(len(tv.rows))
+	n := float64(tv.rows.n)
 	if n < 1 {
 		n = 1
 	}
@@ -716,7 +716,7 @@ func (p *selectPlan) drifted(v *readView) bool {
 		if !ok {
 			return true
 		}
-		cur, old := len(tv.rows), p.scans[i].planRows
+		cur, old := tv.rows.n, p.scans[i].planRows
 		if cur < planDriftMinRows && old < planDriftMinRows {
 			continue
 		}
@@ -1005,7 +1005,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 					continue
 				}
 				indexed := false
-				for _, idx := range t.indexes {
+				for _, idx := range r.tv.indexes {
 					if idx.col == cj.constCol {
 						indexed = true
 						break
@@ -1018,7 +1018,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 				}
 			}
 		}
-		card := float64(len(r.tv.rows))
+		card := float64(r.tv.rows.n)
 		if card < 1 {
 			card = 1
 		}
@@ -1088,7 +1088,7 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 			access:   ac.kind,
 			keyCol:   ac.keyCol,
 			keyExpr:  ac.keyExpr,
-			planRows: len(r.tv.rows),
+			planRows: r.tv.rows.n,
 		}
 		lb := &binder{}
 		lb.addTable(r.alias, r.tv.t)
@@ -1288,11 +1288,11 @@ func (s *scanNode) scan(ctx context.Context, tv *tableView, params []Value, res 
 		if kv.IsNull() {
 			return nil, nil // pk = NULL matches nothing
 		}
-		idx, hit := tv.pk[kv.key()]
-		if !hit || idx >= len(tv.rows) {
+		idx, hit := tv.pk.get(kv.key())
+		if !hit || idx >= tv.rows.n {
 			return nil, nil
 		}
-		return s.applyFilter(ctx, []Row{tv.rows[idx]}, params, res)
+		return s.applyFilter(ctx, []Row{tv.rows.at(idx)}, params, res)
 	case accessIdxEq:
 		kv, err := eval(s.keyExpr, ec)
 		if err != nil {
@@ -1305,33 +1305,72 @@ func (s *scanNode) scan(ctx context.Context, tv *tableView, params []Value, res 
 			res.Scanned += int64(len(matches))
 			out := make([]Row, 0, len(matches))
 			for _, ri := range matches {
-				out = append(out, tv.rows[ri])
+				out = append(out, tv.rows.at(ri))
 			}
 			return s.applyFilter(ctx, out, params, res)
 		}
 		// The view predates the index (pinned snapshot): scan, applying
 		// the consumed equality with the index's key semantics.
-		res.Scanned += int64(len(tv.rows))
+		res.Scanned += int64(tv.rows.n)
 		kk := kv.key()
 		out := make([]Row, 0, 16)
-		for i, r := range tv.rows {
-			if i%cancelCheckRows == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
+		for ci := range tv.rows.chunks {
+			if err := checkCancel(ctx, ci); err != nil {
+				return nil, err
 			}
-			if r[s.keyCol].key() == kk {
-				out = append(out, r)
+			for _, r := range tv.rows.chunk(ci) {
+				if r[s.keyCol].key() == kk {
+					out = append(out, r)
+				}
 			}
 		}
 		return s.applyFilter(ctx, out, params, res)
 	default:
-		res.Scanned += int64(len(tv.rows))
+		res.Scanned += int64(tv.rows.n)
 		if len(s.filter) == 0 {
-			return tv.rows, nil
+			return tv.rows.flat(), nil
 		}
-		return s.applyFilter(ctx, tv.rows, params, res)
+		out := make([]Row, 0, tv.rows.n)
+		for ci := range tv.rows.chunks {
+			if err := checkCancel(ctx, ci); err != nil {
+				return nil, err
+			}
+			for _, r := range tv.rows.chunk(ci) {
+				keep, err := s.keep(ec, r)
+				if err != nil {
+					return nil, err
+				}
+				if keep {
+					out = append(out, r)
+				}
+			}
+		}
+		return out, nil
 	}
+}
+
+// checkCancel polls the context at chunk ci when a whole
+// cancelCheckRows stride of rows starts there.
+func checkCancel(ctx context.Context, ci int) error {
+	if ci%(cancelCheckRows/chunkRows) != 0 {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// keep reports whether row r passes every pushed-down conjunct.
+func (s *scanNode) keep(ec *evalCtx, r Row) (bool, error) {
+	ec.row = r
+	for _, f := range s.filter {
+		fv, err := eval(f, ec)
+		if err != nil {
+			return false, err
+		}
+		if !fv.Truth() {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // applyFilter keeps the rows passing every pushed-down conjunct.
@@ -1347,17 +1386,9 @@ func (s *scanNode) applyFilter(ctx context.Context, rows []Row, params []Value, 
 				return nil, err
 			}
 		}
-		ec.row = r
-		keep := true
-		for _, f := range s.filter {
-			fv, err := eval(f, ec)
-			if err != nil {
-				return nil, err
-			}
-			if !fv.Truth() {
-				keep = false
-				break
-			}
+		keep, err := s.keep(ec, r)
+		if err != nil {
+			return nil, err
 		}
 		if keep {
 			out = append(out, r)

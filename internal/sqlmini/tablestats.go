@@ -14,7 +14,7 @@ package sqlmini
 // protocol is needed.
 //
 // Estimates are deterministic: the sample is a prefix of the view's
-// immutable row slice, so the same data always yields the same numbers
+// immutable rows, so the same data always yields the same numbers
 // regardless of timing, worker count, or map-iteration order.
 
 import "sync"
@@ -29,7 +29,7 @@ const statsSampleRows = 2048
 // the view's column col, computed lazily and cached on the view. The
 // result is always >= 1.
 func (tv *tableView) ndvEstimate(col int) float64 {
-	n := len(tv.rows)
+	n := tv.rows.n
 	if n == 0 {
 		return 1
 	}
@@ -45,14 +45,14 @@ func (tv *tableView) ndvEstimate(col int) float64 {
 	if v := tv.stats.ndv[col]; v > 0 {
 		return v
 	}
-	v := estimateNDV(tv.rows, col)
+	v := sampleNDV(tv.rows.head(statsSampleRows), n, col)
 	tv.stats.ndv[col] = v
 	return v
 }
 
 // tableStats caches lazily computed per-column statistics for one
 // immutable tableView. The mutex serializes the lazy fill among
-// concurrent readers of the same view, mirroring secondaryIndex.
+// concurrent readers of the same view.
 //
 //qcpa:lazycache deterministic lazy fill from immutable rows, serialized by mu
 type tableStats struct {
@@ -60,17 +60,14 @@ type tableStats struct {
 	ndv []float64 // per column; 0 = not yet computed
 }
 
-// estimateNDV counts distinct values in a deterministic prefix sample
-// and extrapolates to the full row count.
-func estimateNDV(rows []Row, col int) float64 {
-	n := len(rows)
-	sample := n
-	if sample > statsSampleRows {
-		sample = statsSampleRows
-	}
+// sampleNDV counts distinct values in prefix, the first (at most
+// statsSampleRows) rows of a table of n rows, and extrapolates to the
+// full row count.
+func sampleNDV(prefix []Row, n, col int) float64 {
+	sample := len(prefix)
 	seen := make(map[string]struct{}, sample)
-	for i := 0; i < sample; i++ {
-		seen[rows[i][col].key()] = struct{}{}
+	for _, r := range prefix {
+		seen[r[col].key()] = struct{}{}
 	}
 	d := len(seen)
 	if d < 1 {

@@ -14,25 +14,26 @@ import (
 // view; writers clone shared state on first touch per epoch, so a
 // published snapshot is never mutated after it becomes visible.
 //
-// Sharing discipline (the whole correctness argument lives here):
+// Sharing discipline (the whole correctness argument lives here; the
+// storage units are in store.go):
 //
-//   - tableView.rows is a slice header cut from the writer's row slab.
-//     Pure INSERTs may keep appending to the shared backing array —
-//     readers never index past their own header's length — but any
-//     operation that rewrites existing headers (UPDATE, DELETE) must
-//     first clone the header slice (Table.prepareMutate).
+//   - tableView.rows copies the table's chunk directory header. INSERT
+//     writes the next slot of the last chunk, or appends a new chunk to
+//     the directory: both lie past every view's own row count and
+//     directory length, so appends clone nothing. Rewriting an existing
+//     slot (UPDATE) first clones that one chunk, and the directory once,
+//     unless they were allocated after the last view was cut.
 //   - Row contents are shared across epochs, so UPDATE copies the
 //     touched row before assigning into it (never writes through a
 //     possibly-published Row).
-//   - tableView.pk is shared until the writer needs to change it; any
-//     pk mutation (including INSERT) clones the map first
-//     (Table.prepareInsert / prepareMutate).
+//   - tableView.pk and each secondary index copy the table's shard
+//     arrays. A write clones only the shards it changes, once per
+//     epoch; UPDATE touches the pk only when the pk value changes, and
+//     an index only when its column's value does. Index row lists grow
+//     by append (past every older copy's length) or are replaced.
+//   - DELETE compacts, so it rebuilds the table into fresh units.
 //   - Schema (Cols, colIdx, pkCol) is immutable after CREATE TABLE, so
 //     views reference the live *Table for binding.
-//
-// Secondary indexes are rebuilt per view (lazily, on first indexed
-// lookup) from the view's own immutable rows; the definitions live on
-// the Table, the buckets on the view.
 
 // readView is one immutable published snapshot of the whole engine.
 //
@@ -47,9 +48,9 @@ type readView struct {
 //qcpa:published immutable once reachable from a published readView
 type tableView struct {
 	t       *Table // schema only — never touch t.rows/t.pk through this
-	rows    []Row
-	pk      map[string]int
-	indexes []*secondaryIndex
+	rows    rowStore
+	pk      keyMap[int]
+	indexes []secondaryIndex
 	stats   tableStats // lazily filled planner statistics (tablestats.go)
 }
 
@@ -68,8 +69,8 @@ func (e *Engine) loadView() *readView {
 // newTableView snapshots a table's current state. Caller holds e.mu.
 func newTableView(t *Table) *tableView {
 	tv := &tableView{t: t, rows: t.rows, pk: t.pk}
-	for _, def := range t.indexes {
-		tv.indexes = append(tv.indexes, &secondaryIndex{col: def.col, dirty: true})
+	if len(t.indexes) > 0 {
+		tv.indexes = append([]secondaryIndex(nil), t.indexes...)
 	}
 	return tv
 }
@@ -89,39 +90,11 @@ func (e *Engine) publishLocked() {
 		if tv == nil {
 			tv = newTableView(t)
 			t.view = tv
-			t.rowsShared = true
-			t.pkShared = true
+			t.gen++ // every unit the view reaches is now shared
 		}
 		nv.tables[name] = tv
 	}
 	e.view.Store(nv)
-}
-
-// prepareInsert readies a table for row appends in the current epoch:
-// the pk map gets cloned if a published view still shares it. Appends
-// themselves are safe against shared row slabs (readers are bounded by
-// their own header length).
-func (t *Table) prepareInsert() {
-	if t.pkShared && t.pk != nil {
-		np := make(map[string]int, len(t.pk))
-		for k, v := range t.pk {
-			np[k] = v
-		}
-		t.pk = np
-		t.pkShared = false
-	}
-	t.view = nil
-}
-
-// prepareMutate readies a table for header rewrites (UPDATE/DELETE):
-// clones the row-header slice and the pk map if a published view still
-// shares them. Idempotent and cheap after the first touch per epoch.
-func (t *Table) prepareMutate() {
-	if t.rowsShared {
-		t.rows = append([]Row(nil), t.rows...)
-		t.rowsShared = false
-	}
-	t.prepareInsert()
 }
 
 // Epoch returns the engine's current published epoch. It starts at 0

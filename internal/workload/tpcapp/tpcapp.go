@@ -180,16 +180,16 @@ func LargeMix() (*workload.Mix, error) {
 
 // Load generates and bulk-loads the listed tables (nil means all). rows
 // gives actual loaded cardinalities (typically RowCounts(eb) scaled
-// down).
+// down). Each table draws from its own rng stream seeded with seed, so
+// a table's contents do not depend on which other tables are loaded
+// with it: replicas holding different table sets load identical data.
 func Load(e *sqlmini.Engine, tables []string, rows map[string]int64, seed int64) error {
 	schema := Schema()
 	if tables == nil {
 		for t := range schema {
 			tables = append(tables, t)
 		}
-		// Tables are loaded sequentially off one seeded rng stream, so
-		// load order must not depend on map iteration order or every
-		// table's generated rows would differ between runs.
+		// Create tables in a fixed order, not map iteration order.
 		sort.Strings(tables)
 	}
 	want := map[string]bool{}
@@ -199,7 +199,7 @@ func Load(e *sqlmini.Engine, tables []string, rows map[string]int64, seed int64)
 		}
 		want[t] = true
 	}
-	rng := rand.New(rand.NewSource(seed))
+	var rng *rand.Rand // the current table's stream
 	n := func(t string, def int64) int64 {
 		if v, ok := rows[t]; ok && v > 0 {
 			return v
@@ -251,6 +251,7 @@ func Load(e *sqlmini.Engine, tables []string, rows map[string]int64, seed int64)
 		if !want[t] {
 			continue
 		}
+		rng = rand.New(rand.NewSource(seed))
 		if e.Table(t) == nil {
 			if err := e.CreateTable(t, schema[t]); err != nil {
 				return err

@@ -192,3 +192,32 @@ func TestLoadErrors(t *testing.T) {
 		t.Fatal("unknown table accepted")
 	}
 }
+
+// TestLoadTableIndependentOfCompanions is the regression test for
+// replicas loading different data: a table loaded beside other tables
+// must hold exactly the rows it gets when loaded on its own, as one
+// backend holding {item, customer} and another holding {customer} do.
+func TestLoadTableIndependentOfCompanions(t *testing.T) {
+	rows := map[string]int64{"item": 300, "customer": 200, "orders": 400}
+	together := sqlmini.New()
+	if err := Load(together, []string{"item", "customer", "orders"}, rows, 7); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{"item", "customer", "orders"} {
+		alone := sqlmini.New()
+		if err := Load(alone, []string{table}, rows, 7); err != nil {
+			t.Fatal(err)
+		}
+		want, err := alone.TableChecksum(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := together.TableChecksum(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s loaded with companions has checksum %x, alone %x", table, got, want)
+		}
+	}
+}
