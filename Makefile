@@ -78,12 +78,14 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# bench-planner runs the two planner acceptance micros at real
-# benchtime with -benchmem (join ordering must beat textual order;
-# a plan-cache hit must allocate less than half of a cold build —
-# the ratio is pinned by TestPlanCacheHitAllocations).
+# bench-planner runs the planner micros at real benchtime with
+# -benchmem: the two acceptance micros (join ordering must beat textual
+# order; a plan-cache hit must allocate less than half of a cold build —
+# the ratio is pinned by TestPlanCacheHitAllocations) and the top-k
+# sink on TPC-App's newProducts read.
 bench-planner:
 	$(GO) test -bench 'SqlminiJoinOrder|PlanCacheHit' -benchmem -run TestPlanCacheHitAllocations ./internal/bench/
+	$(GO) test -bench 'SqlminiTopK' -benchmem -run '^$$' .
 
 # bench-wire compares the wire protocols at equal admission limits —
 # the same rotating point-query load through v1 newline-JSON, v2 binary

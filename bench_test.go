@@ -243,6 +243,10 @@ func BenchmarkSqlminiPointQuery(b *testing.B) {
 // and INSERT rounds on a 10k-row indexed table (the write layer).
 func BenchmarkSqlminiUpdateRound(b *testing.B) { bench.SqlminiUpdateRound(b) }
 
+// BenchmarkSqlminiTopK times TPC-App's newProducts read, an ORDER BY …
+// LIMIT 50 over a 5.5k-row join (the top-k sink).
+func BenchmarkSqlminiTopK(b *testing.B) { bench.SqlminiTopK(b) }
+
 func BenchmarkSqlminiJoinAggregate(b *testing.B) {
 	e := sqlmini.New()
 	if err := tpch.Load(e, []string{"customer", "orders"}, map[string]int64{"customer": 500, "orders": 1500}, 1); err != nil {

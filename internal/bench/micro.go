@@ -30,6 +30,7 @@ var micro = []struct {
 	{"SqlminiJoinOrder", microJoinOrder},
 	{"PlanCacheHit", microPlanCacheHit},
 	{"SqlminiUpdateRound", SqlminiUpdateRound},
+	{"SqlminiTopK", SqlminiTopK},
 }
 
 // RunMicro times every component microbenchmark and returns the
@@ -191,6 +192,32 @@ func SqlminiUpdateRound(b *testing.B) {
 		}
 		if res := e.ApplyRound(round); res[0].Err != nil {
 			b.Fatal(res[0].Err)
+		}
+	}
+}
+
+// SqlminiTopK times the top-k sink on TPC-App's newProducts read at
+// RowCounts(1): about 5,500 item rows pass the date filter and join
+// their author (10k items, 2.5k authors), and ORDER BY … LIMIT 50 keeps
+// the 50 newest.
+func SqlminiTopK(b *testing.B) {
+	e := sqlmini.New()
+	if err := tpcapp.Load(e, []string{"item", "author"}, tpcapp.RowCounts(1), 1); err != nil {
+		b.Fatal(err)
+	}
+	st, err := sqlmini.Parse(`SELECT i_id, i_title, a_fname, a_lname FROM item JOIN author ON a_id = i_a_id WHERE i_pub_date > 900 ORDER BY i_pub_date DESC LIMIT 50`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.ExecStmt(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 50 {
+			b.Fatalf("newProducts returned %d rows, want 50", len(res.Rows))
 		}
 	}
 }

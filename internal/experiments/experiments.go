@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"time"
 
 	"qcpa/internal/classify"
 	"qcpa/internal/core"
@@ -49,6 +50,10 @@ type Options struct {
 	// bit-identical for every value; 1 is the sequential reference
 	// path that Quick() pins for deterministic CI runs.
 	Parallelism int
+	// Now is the clock that the real-engine timing of E24 reads
+	// (default time.Now). Injecting a fake clock makes that figure
+	// reproducible; every other figure ignores it.
+	Now func() time.Time `json:"-"`
 }
 
 // WithDefaults fills in zero fields.
@@ -73,6 +78,9 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.Parallelism == 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
+	}
+	if o.Now == nil {
+		o.Now = time.Now
 	}
 	return o
 }

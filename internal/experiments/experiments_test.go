@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"qcpa/internal/stats"
 )
 
 // last returns the final Y value of a series.
@@ -530,6 +533,12 @@ func TestDriftDetection(t *testing.T) {
 // the read-heavy mix at 8 clients must at least hold the 1-client
 // rate (the ≥2x scaling headline needs multi-core hosts; this floor
 // is what a 1-core CI runner can assert deterministically).
+//
+// One figure point lasts only tens of milliseconds, so a single pair of
+// points swings with host scheduling. The floor is therefore checked on
+// the median 8-client/1-client ratio over repeated back-to-back pairs of
+// longer runs on one cluster, which a host hiccup in one run cannot
+// move.
 func TestMixedThroughput(t *testing.T) {
 	tab, err := MixedThroughput(Quick())
 	if err != nil {
@@ -546,9 +555,25 @@ func TestMixedThroughput(t *testing.T) {
 			}
 		}
 	}
-	light := tab.Get("10% updates")
-	if light.Y[len(light.Y)-1] < light.Y[0]*0.9 {
-		t.Fatalf("read throughput fell with clients: %v", light.Y)
+	opts := Quick()
+	c, mix, err := mixedCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const pairs = 7
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var rate [2]float64
+		for k, workers := range []int{1, 8} {
+			if rate[k], err = mixedRate(c, mix, workers, 0.10, 4*opts.Requests, opts.Seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ratios[i] = rate[1] / rate[0]
+	}
+	if med := stats.Percentile(ratios, 0.5); med < 0.9 {
+		t.Fatalf("read throughput fell with clients: median 8-client/1-client ratio %.2f over %v", med, ratios)
 	}
 }
 
@@ -585,6 +610,30 @@ func TestJoinOrderRobustness(t *testing.T) {
 		}
 		if pess.Y[i] < opt.Y[i]/2 {
 			t.Fatalf("pessimal order %.1f qps vs optimal %.1f at point %d: planner failed to reorder", pess.Y[i], opt.Y[i], i)
+		}
+	}
+}
+
+// TestJoinOrderRobustnessInjectedClock: E24 reads time only through
+// Options.Now, so a fake clock that advances 1 ms per read makes the
+// figure exact: every point repeats its query until 250 reads have
+// passed, i.e. 1000 queries/sec.
+func TestJoinOrderRobustnessInjectedClock(t *testing.T) {
+	opts := Quick()
+	var ticks time.Duration
+	opts.Now = func() time.Time {
+		ticks += time.Millisecond
+		return time.Unix(0, 0).Add(ticks)
+	}
+	tab, err := JoinOrderRobustness(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range tab.Series {
+		for i, y := range s.Y {
+			if y != 1000 {
+				t.Fatalf("%s point %d = %v queries/sec, want exactly 1000", s.Name, i, y)
+			}
 		}
 	}
 }

@@ -91,41 +91,55 @@ func mixedNext(mix *workload.Mix, frac float64, rng *rand.Rand) func() workload.
 // given client count and update fraction, returning the completed
 // request throughput.
 func runMixedOnce(workers int, frac float64, opts Options) (float64, error) {
-	mix, err := tpcapp.Mix(1)
+	c, mix, err := mixedCluster(opts)
 	if err != nil {
 		return 0, err
+	}
+	defer c.Close()
+	// A full opts.Requests per point: with plan-cached reads the engine
+	// clears ~30k req/s, so a smaller sample measures only a few
+	// milliseconds and the 8-vs-1-client floor drowns in scheduler noise.
+	return mixedRate(c, mix, workers, frac, max(opts.Requests, 1000), opts.Seed)
+}
+
+// mixedCluster loads the small TPC-App cluster E23 drives: the journal
+// classified by table and allocated greedily on 2 backends.
+func mixedCluster(opts Options) (*cluster.Cluster, *workload.Mix, error) {
+	mix, err := tpcapp.Mix(1)
+	if err != nil {
+		return nil, nil, err
 	}
 	res, err := classify.Classify(mix.Journal(10000), tpcapp.Schema(), classify.Options{
 		Strategy: classify.TableBased, RowCounts: tpcapp.RowCounts(300),
 	})
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	alloc, err := core.Greedy(res.Classification, core.UniformBackends(2))
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	c, err := cluster.New(cluster.Config{Backends: core.UniformBackends(2)})
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	defer c.Close()
 	loadRows := map[string]int64{
 		"author": 25, "item": 60, "customer": 80, "address": 160, "orders": 120, "order_line": 400,
 	}
 	if err := c.Install(alloc, func(e *sqlmini.Engine, tables []string) error {
 		return tpcapp.Load(e, tables, loadRows, opts.Seed)
 	}); err != nil {
-		return 0, err
+		c.Close()
+		return nil, nil, err
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	// A full opts.Requests per point: with plan-cached reads the engine
-	// clears ~30k req/s, so a smaller sample measures only a few
-	// milliseconds and the 8-vs-1-client floor drowns in scheduler noise.
-	reqs := opts.Requests
-	if reqs < 1000 {
-		reqs = 1000
-	}
+	return c, mix, nil
+}
+
+// mixedRate drives c with reqs requests of the given update fraction
+// from workers concurrent clients and returns the completed request
+// throughput.
+func mixedRate(c *cluster.Cluster, mix *workload.Mix, workers int, frac float64, reqs int, seed int64) (float64, error) {
+	rng := rand.New(rand.NewSource(seed))
 	stats, err := c.Run(mixedNext(mix, frac, rng), reqs, workers)
 	if err != nil {
 		return 0, err

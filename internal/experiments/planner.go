@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"testing"
+	"time"
 
 	"qcpa/internal/sqlmini"
 )
@@ -14,9 +14,10 @@ import (
 // form materialized the full big⋈big product before the dimension
 // filter pruned anything. With cost-based join ordering both forms
 // compile to the same dimension-first plan, so the two curves must
-// coincide — that collapse is the figure's point. Timing is delegated
-// to testing.Benchmark, which keeps this package free of wall-clock
-// reads (detsource) while still reporting queries/sec.
+// coincide — that collapse is the figure's point. Queries/sec are timed
+// against opts.Now, the injectable clock that keeps this package free of
+// direct wall-clock reads (detsource). The figure does not nest
+// testing.Benchmark, so it also runs inside a benchmark.
 func JoinOrderRobustness(opts Options) (*Table, error) {
 	opts = opts.WithDefaults()
 	t := &Table{
@@ -35,7 +36,7 @@ func JoinOrderRobustness(opts Options) (*Table, error) {
 	for _, q := range queries {
 		s := Series{Name: q.name}
 		for _, n := range sizes {
-			qps, err := joinQPS(n, q.sql)
+			qps, err := joinQPS(n, q.sql, opts.Now)
 			if err != nil {
 				return nil, err
 			}
@@ -47,9 +48,13 @@ func JoinOrderRobustness(opts Options) (*Table, error) {
 	return t, nil
 }
 
+// joinQPSBudget is how long joinQPS repeats one query.
+const joinQPSBudget = 250 * time.Millisecond
+
 // joinQPS loads the star schema at the given fact-table size and times
-// repeated execution of sql on one engine.
-func joinQPS(n int, sql string) (float64, error) {
+// repeated execution of sql on one engine for joinQPSBudget, read from
+// now after every execution.
+func joinQPS(n int, sql string, now func() time.Time) (float64, error) {
 	e, err := starJoinEngine(n, 50)
 	if err != nil {
 		return 0, err
@@ -58,24 +63,19 @@ func joinQPS(n int, sql string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var execErr error
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := e.ExecStmt(st)
-			if err != nil {
-				execErr = err
-				return
-			}
-			if len(res.Rows) == 0 {
-				execErr = fmt.Errorf("experiments: star join returned no rows")
-				return
-			}
+	start := now()
+	for runs := 1; ; runs++ {
+		res, err := e.ExecStmt(st)
+		if err != nil {
+			return 0, err
 		}
-	})
-	if execErr != nil {
-		return 0, execErr
+		if len(res.Rows) == 0 {
+			return 0, fmt.Errorf("experiments: star join returned no rows")
+		}
+		if elapsed := now().Sub(start); elapsed >= joinQPSBudget {
+			return float64(runs) / elapsed.Seconds(), nil
+		}
 	}
-	return 1e9 / float64(r.NsPerOp()), nil
 }
 
 // starJoinEngine builds two fact tables of n rows joined by an equi

@@ -39,6 +39,7 @@ package sqlmini
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -687,6 +688,7 @@ type selectPlan struct {
 	distinct bool
 	orderBy  []orderSpec
 	limit    int
+	sink     sinkKind // how run finishes the last stage's rows (sink.go)
 
 	reordered bool // join order differs from textual order
 }
@@ -1219,6 +1221,11 @@ func (e *Engine) buildPlan(st *SelectStmt, v *readView, gen int64) (*selectPlan,
 		}
 		p.orderBy = append(p.orderBy, spec)
 	}
+	kinds := make([]Kind, len(pb.slots))
+	for i, sl := range pb.slots {
+		kinds[i] = sl.table.Cols[sl.col].Type
+	}
+	p.sink = p.chooseSink(kinds)
 	return p, nil
 }
 
@@ -1235,11 +1242,19 @@ func lowestBit(m uint64) int {
 // Plan execution
 // ---------------------------------------------------------------------
 
-// run executes the plan against one immutable view. The plan itself is
-// read-only here: any number of goroutines may run the same plan
-// concurrently.
+// emitFn consumes one row of a pipeline stage and reports whether the
+// stage should go on producing. The row may be a scratch row that the
+// stage rewrites once emit returns: a consumer that keeps it copies it.
+type emitFn func(r Row) (bool, error)
+
+// run executes the plan against one immutable view. Every stage but the
+// last is materialized; the last one (the only scan, or the last join's
+// probe loop) streams its rows into the plan's sink (sink.go). The plan
+// itself is read-only here: any number of goroutines may run the same
+// plan concurrently.
 func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *Result) error {
 	res.Columns = p.outNames
+	sink := p.newSink(ctx, params)
 	ec := &evalCtx{params: params}
 	for _, cexpr := range p.consts {
 		cv, err := eval(cexpr, ec)
@@ -1247,106 +1262,152 @@ func (p *selectPlan) run(ctx context.Context, v *readView, params []Value, res *
 			return err
 		}
 		if !cv.Truth() {
-			return p.finish(ctx, nil, params, res)
+			return sink.finish(res)
 		}
 	}
-	var rows []Row
+	last := len(p.scans) - 1
+	var prefix []Row
 	for i := range p.scans {
 		s := &p.scans[i]
 		tv, ok := v.tables[s.table]
 		if !ok {
 			return unknownTableError(s.table)
 		}
-		scanned, err := s.scan(ctx, tv, params, res)
-		if err != nil {
-			return err
+		var err error
+		switch {
+		case last == 0:
+			err = s.stream(ctx, tv, params, res, sink.push)
+		case i == 0:
+			prefix, err = s.rows(ctx, tv, params, res)
+		default:
+			var rows, joined []Row
+			if rows, err = s.rows(ctx, tv, params, res); err != nil {
+				return err
+			}
+			emit := sink.push
+			if i < last {
+				emit = func(r Row) (bool, error) {
+					joined = append(joined, slices.Clone(r))
+					return true, nil
+				}
+			}
+			err = p.joins[i-1].join(ctx, prefix, rows, params, res, emit)
+			prefix = joined
 		}
-		if i == 0 {
-			rows = scanned
-			continue
-		}
-		rows, err = p.joins[i-1].join(ctx, rows, scanned, params, res)
 		if err != nil {
 			return err
 		}
 	}
-	return p.finish(ctx, rows, params, res)
+	return sink.finish(res)
 }
 
-// scan produces the (filtered) base rows of one table from a view. The
-// returned slice may alias the view's row slice when no filtering
-// applies; callers never mutate result rows.
-func (s *scanNode) scan(ctx context.Context, tv *tableView, params []Value, res *Result) ([]Row, error) {
+// rows materializes the scan as a join input. The returned slice may
+// alias the view's row storage; callers never mutate it.
+func (s *scanNode) rows(ctx context.Context, tv *tableView, params []Value, res *Result) ([]Row, error) {
+	if s.access == accessFull && len(s.filter) == 0 {
+		res.Scanned += int64(tv.rows.n)
+		return tv.rows.flat(), nil
+	}
+	var out []Row
+	err := s.stream(ctx, tv, params, res, func(r Row) (bool, error) {
+		out = append(out, r)
+		return true, nil
+	})
+	return out, err
+}
+
+// stream passes the table's rows that satisfy every pushed-down conjunct
+// to emit, in storage order, until emit declines more. Scanned counts
+// the rows examined.
+func (s *scanNode) stream(ctx context.Context, tv *tableView, params []Value, res *Result, emit emitFn) error {
 	ec := &evalCtx{params: params}
+	offer := func(r Row) (bool, error) {
+		keep, err := s.keep(ec, r)
+		if err != nil || !keep {
+			return true, err
+		}
+		return emit(r)
+	}
 	switch s.access {
 	case accessPkEq:
 		res.Scanned++
 		kv, err := eval(s.keyExpr, ec)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if kv.IsNull() {
-			return nil, nil // pk = NULL matches nothing
+			return nil // pk = NULL matches nothing
 		}
 		idx, hit := tv.pk.get(kv.key())
 		if !hit || idx >= tv.rows.n {
-			return nil, nil
+			return nil
 		}
-		return s.applyFilter(ctx, []Row{tv.rows.at(idx)}, params, res)
+		_, err = offer(tv.rows.at(idx))
+		return err
 	case accessIdxEq:
 		kv, err := eval(s.keyExpr, ec)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if kv.IsNull() {
-			return nil, nil // col = NULL matches nothing
+		want, ok := kv.typedKey()
+		if !ok {
+			return nil // col = NULL matches nothing
 		}
-		if matches, indexed := tv.lookupIndex(s.keyCol, kv); indexed {
-			res.Scanned += int64(len(matches))
-			out := make([]Row, 0, len(matches))
-			for _, ri := range matches {
-				out = append(out, tv.rows.at(ri))
-			}
-			return s.applyFilter(ctx, out, params, res)
+		matches, indexed := tv.lookupIndex(s.keyCol, kv)
+		if !indexed {
+			// The view predates the index (pinned snapshot): scan,
+			// applying the consumed equality with the index's key
+			// semantics.
+			return streamRows(ctx, tv, res, func(r Row) (bool, error) {
+				if got, ok := r[s.keyCol].typedKey(); !ok || got != want {
+					return true, nil
+				}
+				return offer(r)
+			})
 		}
-		// The view predates the index (pinned snapshot): scan, applying
-		// the consumed equality with the index's key semantics.
-		res.Scanned += int64(tv.rows.n)
-		kk := kv.key()
-		out := make([]Row, 0, 16)
-		for ci := range tv.rows.chunks {
-			if err := checkCancel(ctx, ci); err != nil {
-				return nil, err
-			}
-			for _, r := range tv.rows.chunk(ci) {
-				if r[s.keyCol].key() == kk {
-					out = append(out, r)
+		for i, ri := range matches {
+			if i%cancelCheckRows == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
 				}
 			}
+			more, err := offer(tv.rows.at(ri))
+			if err != nil {
+				return err
+			}
+			if !more {
+				res.Scanned += int64(i + 1)
+				return nil
+			}
 		}
-		return s.applyFilter(ctx, out, params, res)
+		res.Scanned += int64(len(matches))
+		return nil
 	default:
-		res.Scanned += int64(tv.rows.n)
-		if len(s.filter) == 0 {
-			return tv.rows.flat(), nil
-		}
-		out := make([]Row, 0, tv.rows.n)
-		for ci := range tv.rows.chunks {
-			if err := checkCancel(ctx, ci); err != nil {
-				return nil, err
-			}
-			for _, r := range tv.rows.chunk(ci) {
-				keep, err := s.keep(ec, r)
-				if err != nil {
-					return nil, err
-				}
-				if keep {
-					out = append(out, r)
-				}
-			}
-		}
-		return out, nil
+		return streamRows(ctx, tv, res, offer)
 	}
+}
+
+// streamRows passes every row of the view to offer in storage order
+// until offer declines more, counting the rows examined.
+func streamRows(ctx context.Context, tv *tableView, res *Result, offer emitFn) error {
+	for ci := range tv.rows.chunks {
+		if err := checkCancel(ctx, ci); err != nil {
+			return err
+		}
+		rows := tv.rows.chunk(ci)
+		for i, r := range rows {
+			more, err := offer(r)
+			if err != nil {
+				return err
+			}
+			if !more {
+				res.Scanned += int64(i + 1)
+				return nil
+			}
+		}
+		res.Scanned += int64(len(rows))
+	}
+	return nil
 }
 
 // checkCancel polls the context at chunk ci when a whole
@@ -1373,270 +1434,125 @@ func (s *scanNode) keep(ec *evalCtx, r Row) (bool, error) {
 	return true, nil
 }
 
-// applyFilter keeps the rows passing every pushed-down conjunct.
-func (s *scanNode) applyFilter(ctx context.Context, rows []Row, params []Value, res *Result) ([]Row, error) {
-	if len(s.filter) == 0 {
-		return rows, nil
-	}
-	ec := &evalCtx{params: params}
-	out := make([]Row, 0, len(rows))
-	for i, r := range rows {
-		if i%cancelCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		keep, err := s.keep(ec, r)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// joinKey renders the composite hash key of a row over the given
-// column indices.
-func joinKey(r Row, cols []int) string {
-	if len(cols) == 1 {
-		return r[cols[0]].key()
-	}
+// compositeKey renders the hash key of a multi-column equi-join: each
+// column's key() with its length, so no text value can forge a
+// boundary. ok is false when any column is NULL, which equals nothing.
+func compositeKey(r Row, cols []int) (string, bool) {
 	var sb strings.Builder
 	for _, c := range cols {
-		sb.WriteString(r[c].key())
-		sb.WriteByte('|')
+		if r[c].IsNull() {
+			return "", false
+		}
+		k := r[c].key()
+		sb.WriteString(strconv.Itoa(len(k)))
+		sb.WriteByte(':')
+		sb.WriteString(k)
 	}
-	return sb.String()
+	return sb.String(), true
 }
 
-// join combines the accumulated prefix rows with one table's rows.
-// Equi-joins hash on the smaller side; the output is always ordered
-// with the build side's counterpart as the outer sequence, which is a
-// deterministic function of the input data. Both build and probe loops
-// observe context cancellation.
-func (j *joinNode) join(ctx context.Context, left, right []Row, params []Value, res *Result) ([]Row, error) {
+// join combines the accumulated prefix rows with one table's rows and
+// passes every joined row that satisfies the residual conjuncts to emit,
+// until emit declines more. Each candidate is assembled in one scratch
+// row, which never aliases an input row. A single-column equi-join
+// hashes typed keys, a multi-column one composite string keys; NULL keys
+// match nothing, as under "=". Both build and probe loops observe
+// context cancellation.
+func (j *joinNode) join(ctx context.Context, left, right []Row, params []Value, res *Result, emit emitFn) error {
 	ec := &evalCtx{params: params}
-	emit := func(out []Row, lr, rr Row) ([]Row, error) {
-		nr := make(Row, 0, len(lr)+len(rr))
-		nr = append(nr, lr...)
-		nr = append(nr, rr...)
-		if len(j.extra) > 0 {
-			ec.row = nr
-			for _, ex := range j.extra {
-				v, err := eval(ex, ec)
-				if err != nil {
-					return out, err
-				}
-				if !v.Truth() {
-					return out, nil
-				}
+	var scratch Row
+	candidate := func(lr, rr Row) (bool, error) {
+		scratch = append(append(scratch[:0], lr...), rr...)
+		ec.row = scratch
+		for _, ex := range j.extra {
+			v, err := eval(ex, ec)
+			if err != nil || !v.Truth() {
+				return true, err
 			}
 		}
-		return append(out, nr), nil
+		return emit(scratch)
 	}
-
-	if len(j.leftKeys) > 0 {
-		out := make([]Row, 0, len(left))
-		var err error
-		if len(right) <= len(left) {
-			// Build on the right, probe with the prefix rows:
-			// left-major output order.
-			ht := make(map[string][]Row, len(right))
-			for i, rr := range right {
-				if i%cancelCheckRows == 0 {
-					if cerr := ctx.Err(); cerr != nil {
-						return nil, cerr
+	switch len(j.leftKeys) {
+	case 0:
+		// Nested loop: no equi keys link this table to the prefix.
+		// Scanned counts evaluated pairs, as the pre-planner executor did.
+		for _, lr := range left {
+			for _, rr := range right {
+				if res.Scanned%cancelCheckRows == 0 {
+					if err := ctx.Err(); err != nil {
+						return err
 					}
 				}
-				k := joinKey(rr, j.rightKeys)
-				ht[k] = append(ht[k], rr)
-			}
-			for i, lr := range left {
-				if i%cancelCheckRows == 0 {
-					if cerr := ctx.Err(); cerr != nil {
-						return nil, cerr
-					}
-				}
-				for _, rr := range ht[joinKey(lr, j.leftKeys)] {
-					out, err = emit(out, lr, rr)
-					if err != nil {
-						return nil, err
-					}
-				}
-			}
-			return out, nil
-		}
-		// Build on the (smaller) prefix, probe with the table rows:
-		// right-major output order.
-		ht := make(map[string][]Row, len(left))
-		for i, lr := range left {
-			if i%cancelCheckRows == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-			}
-			k := joinKey(lr, j.leftKeys)
-			ht[k] = append(ht[k], lr)
-		}
-		for i, rr := range right {
-			if i%cancelCheckRows == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-			}
-			for _, lr := range ht[joinKey(rr, j.rightKeys)] {
-				out, err = emit(out, lr, rr)
-				if err != nil {
-					return nil, err
+				res.Scanned++
+				more, err := candidate(lr, rr)
+				if err != nil || !more {
+					return err
 				}
 			}
 		}
-		return out, nil
+		return nil
+	case 1:
+		lc, rc := j.leftKeys[0], j.rightKeys[0]
+		return hashJoin(ctx, left, right,
+			func(r Row) (valueKey, bool) { return r[lc].typedKey() },
+			func(r Row) (valueKey, bool) { return r[rc].typedKey() },
+			candidate)
+	default:
+		return hashJoin(ctx, left, right,
+			func(r Row) (string, bool) { return compositeKey(r, j.leftKeys) },
+			func(r Row) (string, bool) { return compositeKey(r, j.rightKeys) },
+			candidate)
 	}
-
-	// Nested loop: no equi keys link this table to the prefix. Scanned
-	// counts evaluated pairs, as the pre-planner executor did.
-	out := make([]Row, 0, len(left))
-	var err error
-	for _, lr := range left {
-		for _, rr := range right {
-			if res.Scanned%cancelCheckRows == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-			}
-			res.Scanned++
-			out, err = emit(out, lr, rr)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }
 
-// finish projects, aggregates, deduplicates, orders and limits the
-// joined rows — the pre-bound successor of the old finishSelect.
-func (p *selectPlan) finish(ctx context.Context, rows []Row, params []Value, res *Result) error {
-	groupMode := len(p.aggs) > 0 || len(p.groupBy) > 0
-
-	var outRows []Row
-	var orderInputs []Row // input (or group sample) row per output row
-	if groupMode {
-		groups, order, err := groupRows(rows, p.groupBy, p.aggs, params)
-		if err != nil {
-			return err
+// hashJoin hashes the smaller input (the table's rows on a tie) and
+// probes it with the other, passing each matching (prefix row, table
+// row) pair to emit until emit declines more. The output follows the
+// probe side, each probe row's matches in build-side order: a
+// deterministic function of the input data. Build rows are chained per
+// key back to front so that every chain lists them in input order; rows
+// whose key is not ok (NULL) are neither built nor probed.
+func hashJoin[K comparable](ctx context.Context, left, right []Row, leftKey, rightKey func(Row) (K, bool), emit func(lr, rr Row) (bool, error)) error {
+	buildRight := len(right) <= len(left)
+	build, probe, buildKey, probeKey := left, right, leftKey, rightKey
+	if buildRight {
+		build, probe, buildKey, probeKey = right, left, rightKey, leftKey
+	}
+	head := make(map[K]int, len(build)) // key -> 1 + first build row of its chain
+	next := make([]int, len(build))     // build row -> 1 + next row of its chain, 0 at the end
+	for i := len(build) - 1; i >= 0; i-- {
+		if i%cancelCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
-		for _, key := range order {
-			g := groups[key]
-			gctx := &evalCtx{row: g.sample, aggs: g.aggValues(), params: params}
-			if p.having != nil {
-				hv, err := eval(p.having, gctx)
-				if err != nil {
-					return err
-				}
-				if !hv.Truth() {
-					continue
-				}
-			}
-			or := make(Row, len(p.outExprs))
-			for i, oe := range p.outExprs {
-				v, err := eval(oe, gctx)
-				if err != nil {
-					return err
-				}
-				or[i] = v
-			}
-			outRows = append(outRows, or)
-			orderInputs = append(orderInputs, g.sample)
+		k, ok := buildKey(build[i])
+		if !ok {
+			continue
 		}
-	} else {
-		ec := &evalCtx{params: params}
-		for ri, r := range rows {
-			if ri%cancelCheckRows == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+		next[i] = head[k]
+		head[k] = i + 1
+	}
+	for i, pr := range probe {
+		if i%cancelCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			ec.row = r
-			or := make(Row, len(p.outExprs))
-			for i, oe := range p.outExprs {
-				v, err := eval(oe, ec)
-				if err != nil {
-					return err
-				}
-				or[i] = v
+		}
+		k, ok := probeKey(pr)
+		if !ok {
+			continue
+		}
+		for b := head[k]; b != 0; b = next[b-1] {
+			lr, rr := build[b-1], pr
+			if buildRight {
+				lr, rr = pr, build[b-1]
 			}
-			outRows = append(outRows, or)
-			orderInputs = append(orderInputs, r)
+			more, err := emit(lr, rr)
+			if err != nil || !more {
+				return err
+			}
 		}
 	}
-
-	if p.distinct {
-		seen := make(map[string]bool, len(outRows))
-		kept := outRows[:0]
-		keptIn := orderInputs[:0]
-		for i, r := range outRows {
-			var sb strings.Builder
-			for _, v := range r {
-				sb.WriteString(v.key())
-				sb.WriteByte('|')
-			}
-			k := sb.String()
-			if !seen[k] {
-				seen[k] = true
-				kept = append(kept, r)
-				keptIn = append(keptIn, orderInputs[i])
-			}
-		}
-		outRows = kept
-		orderInputs = keptIn
-	}
-
-	if len(p.orderBy) > 0 {
-		type keyed struct {
-			row  Row
-			keys []Value
-		}
-		ks := make([]keyed, len(outRows))
-		ec := &evalCtx{params: params}
-		for i, r := range outRows {
-			ks[i] = keyed{row: r, keys: make([]Value, len(p.orderBy))}
-			for oi, spec := range p.orderBy {
-				if spec.outIdx >= 0 {
-					ks[i].keys[oi] = r[spec.outIdx]
-					continue
-				}
-				ec.row = orderInputs[i]
-				v, err := eval(spec.expr, ec)
-				if err != nil {
-					return err
-				}
-				ks[i].keys[oi] = v
-			}
-		}
-		sort.SliceStable(ks, func(i, j int) bool {
-			for oi, spec := range p.orderBy {
-				c := Compare(ks[i].keys[oi], ks[j].keys[oi])
-				if c != 0 {
-					if spec.desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-		for i := range ks {
-			outRows[i] = ks[i].row
-		}
-	}
-
-	if p.limit >= 0 && len(outRows) > p.limit {
-		outRows = outRows[:p.limit]
-	}
-	res.Rows = outRows
 	return nil
 }

@@ -13,6 +13,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -172,6 +173,38 @@ func (v Value) key() string {
 	default:
 		return "s" + v.S
 	}
+}
+
+// valueKey is the comparable form of key() that hash joins and index
+// fallbacks compare without formatting: two non-NULL values have equal
+// valueKeys exactly when their key() strings are equal. Integers and
+// integral floats share the integer form, other floats compare by bit
+// pattern (every NaN alike, as 'b' formatting renders them), and text
+// by its bytes.
+type valueKey struct {
+	kind uint8 // 0 integral number, 1 other float, 2 text
+	n    int64
+	s    string
+}
+
+// typedKey returns v's valueKey; ok is false for NULL, which equals
+// nothing.
+func (v Value) typedKey() (valueKey, bool) {
+	switch v.K {
+	case KindInt:
+		return valueKey{n: v.I}, true
+	case KindFloat:
+		if v.F == float64(int64(v.F)) {
+			return valueKey{n: int64(v.F)}, true
+		}
+		if math.IsNaN(v.F) {
+			return valueKey{kind: 1, n: int64(math.Float64bits(math.NaN()))}, true
+		}
+		return valueKey{kind: 1, n: int64(math.Float64bits(v.F))}, true
+	case KindText:
+		return valueKey{kind: 2, s: v.S}, true
+	}
+	return valueKey{}, false
 }
 
 // Row is a tuple of values.
